@@ -593,6 +593,79 @@ let campaign_smoke () =
   end;
   print_endline "  ok: cache_hits > 0"
 
+(* --- Engine throughput ------------------------------------------------------------- *)
+
+(* Cycle counts of the unfaulted bundled runs.  They are deterministic,
+   so they are the artifact's only gate; the rates beside them depend on
+   the machine and are reported, not gated. *)
+let engine_expected_cycles =
+  [
+    ("fir/baseline", 53); ("fir/unoptimized", 148); ("fir/parallelized", 53);
+    ("fir/optimized", 53); ("dct/baseline", 943); ("dct/unoptimized", 1359);
+    ("dct/parallelized", 943); ("dct/optimized", 943); ("des3/baseline", 711);
+    ("des3/unoptimized", 791); ("des3/parallelized", 759); ("des3/optimized", 759);
+    ("edge/baseline", 763); ("edge/unoptimized", 765); ("edge/parallelized", 763);
+    ("edge/optimized", 763); ("pulse/baseline", 32939); ("pulse/unoptimized", 37037);
+    ("pulse/parallelized", 32939); ("pulse/optimized", 32939);
+  ]
+
+(* Minor-heap words allocated and seconds taken by [f]. *)
+let measure f =
+  let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  let x = f () in
+  let dt = Unix.gettimeofday () -. t0 in
+  (x, dt, Gc.minor_words () -. w0)
+
+let engine_bench () =
+  section "Engine throughput: bundled apps x default strategies";
+  let word = float_of_int (Sys.word_size / 8) in
+  let mismatches = ref [] in
+  let setup_s = ref 0.0 and setup_words = ref 0.0 and setups = ref 0 in
+  Printf.printf "  %-20s %8s %10s %10s %14s\n" "design" "cycles" "ms/run" "Mcycle/s"
+    "minor B/cycle";
+  List.iter
+    (fun (w : Campaign.workload) ->
+      List.iter
+        (fun (sname, strategy) ->
+          let key = w.Campaign.wname ^ "/" ^ sname in
+          let c = Driver.compile ~strategy w.Campaign.program in
+          let prepare () = Driver.prepare ~options:w.Campaign.options c in
+          let cycles = (Engine.run (prepare ()).Driver.ses_engine).Engine.cycles in
+          let reps = Stdlib.max 3 (100_000 / Stdlib.max 1 cycles) in
+          let run_s = ref 0.0 and run_words = ref 0.0 in
+          for _ = 1 to reps do
+            let ses, dt, words = measure prepare in
+            setup_s := !setup_s +. dt;
+            setup_words := !setup_words +. words;
+            incr setups;
+            let _, dt, words = measure (fun () -> Engine.run ses.Driver.ses_engine) in
+            run_s := !run_s +. dt;
+            run_words := !run_words +. words
+          done;
+          let total_cycles = float_of_int (cycles * reps) in
+          Printf.printf "  %-20s %8d %10.3f %10.2f %14.1f\n" key cycles
+            (1000.0 *. !run_s /. float_of_int reps)
+            (total_cycles /. !run_s /. 1e6)
+            (!run_words *. word /. total_cycles);
+          match List.assoc_opt key engine_expected_cycles with
+          | Some expected when expected = cycles -> ()
+          | expected -> mismatches := (key, expected, cycles) :: !mismatches)
+        Campaign.default_strategies)
+    (Campaign.bundled ());
+  Printf.printf "  setup: %.1f us and %.0f minor bytes per prepare (0 cycles, mean of %d)\n"
+    (1e6 *. !setup_s /. float_of_int !setups)
+    (!setup_words *. word /. float_of_int !setups)
+    !setups;
+  match List.rev !mismatches with
+  | [] -> print_endline "  ok: every cycle count matches the committed one"
+  | ms ->
+      List.iter
+        (fun (key, expected, cycles) ->
+          Printf.eprintf "  FAIL: %s ran %d cycles, expected %s\n" key cycles
+            (match expected with Some n -> string_of_int n | None -> "no committed count"))
+        ms;
+      exit 1
+
 (* --- Assertion mining ---------------------------------------------------------------- *)
 
 (* Sweep the miner over the four bundled case studies with the bundled
@@ -1195,6 +1268,7 @@ let artifacts =
     ("timing", timing_demo);
     ("campaign", campaign_bench);
     ("campaign-smoke", campaign_smoke);
+    ("engine", engine_bench);
     ("mine", mine_bench);
     ("check", check_bench);
     ("prove", prove_bench);

@@ -77,8 +77,10 @@ let mirror_write t addr v =
 
 let commit t =
   (* staged list is in reverse program order; apply oldest first *)
-  List.iter (fun (a, v) -> t.data.(a) <- v) (List.rev t.staged);
-  t.staged <- [];
+  if t.staged <> [] then begin
+    List.iter (fun (a, v) -> t.data.(a) <- v) (List.rev t.staged);
+    t.staged <- []
+  end;
   t.accesses_this_cycle <- 0
 
 (** Direct (testbench) access, no port accounting. *)

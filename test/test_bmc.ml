@@ -498,6 +498,34 @@ let test_prove_mine_demo_violated () =
   check tbool "no replay divergence" false
     (List.exists (fun (d : Analysis.Diag.t) -> d.Analysis.Diag.code = "INCA-B006") diags)
 
+(* A witness whose replay crashes the circuit (division by zero before
+   the assertion's tap) must come back Refuted with the simulator error,
+   not escape the replay as an unmatched engine outcome. *)
+let test_replay_sim_error_refuted () =
+  let prog =
+    elab
+      {| stream int32 inp depth 4; stream int32 outp depth 4;
+         process hw main(int32 n) {
+           int32 x; int32 y;
+           x = stream_read(inp);
+           y = 100 / x;
+           assert(y < 1000);
+           stream_write(outp, y);
+         } |}
+  in
+  let f = Verify.front_of prog in
+  let id = match Verify.target_ids f with id :: _ -> id | [] -> Alcotest.fail "no target" in
+  let w =
+    { Bmc.Prove.w_cycle = 4; w_feeds = [ ("inp", [ 0L ]) ]; w_params = [ ("main", [ ("n", 1L) ]) ] }
+  in
+  match Verify.replay f ~id w with
+  | Verify.Confirmed c -> Alcotest.failf "replay confirmed at cycle %d" c
+  | Verify.Refuted msg ->
+      let sub = "simulator error: division by zero" in
+      let n = String.length sub in
+      let rec has i = i + n <= String.length msg && (String.sub msg i n = sub || has (i + 1)) in
+      check tbool ("refutation names the simulator error: " ^ msg) true (has 0)
+
 let test_prove_demo_induction () =
   let prog = elab (read_file (example "examples/prove_demo.c")) in
   (* Absint leaves the masked-nibble assertion Unknown... *)
@@ -613,6 +641,8 @@ let () =
         [
           Alcotest.test_case "mine_demo violated + replayed" `Quick
             test_prove_mine_demo_violated;
+          Alcotest.test_case "replay sim error refuted" `Quick
+            test_replay_sim_error_refuted;
           Alcotest.test_case "prove_demo 1-induction" `Quick
             test_prove_demo_induction;
           Alcotest.test_case "bounded without induction" `Quick

@@ -151,9 +151,13 @@ let same_result (a : Engine.result) (b : Engine.result) =
   a.Engine.outcome = b.Engine.outcome
   && a.Engine.cycles = b.Engine.cycles
   && a.Engine.drained = b.Engine.drained
+  && a.Engine.host_log = b.Engine.host_log
+  && a.Engine.pipes = b.Engine.pipes
+  && a.Engine.port_violations = b.Engine.port_violations
+  && a.Engine.wild_accesses = b.Engine.wild_accesses
   && a.Engine.fifo_stats = b.Engine.fifo_stats
   && a.Engine.tap_events = b.Engine.tap_events
-  && a.Engine.host_log = b.Engine.host_log
+  && a.Engine.timing_violations = b.Engine.timing_violations
 
 let test_snapshot_restore_roundtrip () =
   let n = 24 in
@@ -196,6 +200,232 @@ let test_snapshot_is_deep () =
   check tint "snapshot unaffected by later simulation" 5 (Engine.current_cycle e);
   let r = Engine.run e in
   check tbool "replay still completes" true (r.Engine.outcome = Engine.Finished)
+
+(* --- Engine golden results ---------------------------------------------------- *)
+
+let render_spin l =
+  String.concat ";" (List.map (fun (p, s) -> Printf.sprintf "%s@%d" p s) l)
+
+let render_outcome = function
+  | Engine.Finished -> "finished"
+  | Engine.Hang l -> "hang[" ^ render_spin l ^ "]"
+  | Engine.Livelock l -> "livelock[" ^ render_spin l ^ "]"
+  | Engine.Aborted m -> "aborted:" ^ m
+  | Engine.Out_of_cycles -> "out-of-cycles"
+  | Engine.Sim_error m -> "sim-error:" ^ m
+
+(* A complete, deterministic rendering of an engine result: every field
+   but the waveform.  Drained values are summarised by count and digest
+   to keep the expected strings short; [ii_measured] is printed in hex
+   so a float change cannot round away. *)
+let render_result (r : Engine.result) =
+  let outcome = render_outcome r.Engine.outcome in
+  let digest vs =
+    String.sub
+      (Digest.to_hex (Digest.string (String.concat "," (List.map Int64.to_string vs))))
+      0 12
+  in
+  let pairs l = String.concat ";" (List.map (fun (n, k) -> Printf.sprintf "%s=%d" n k) l) in
+  String.concat " "
+    [
+      outcome;
+      Printf.sprintf "cycles=%d" r.Engine.cycles;
+      "drained=["
+      ^ String.concat ";"
+          (List.map
+             (fun (s, vs) -> Printf.sprintf "%s:%d:%s" s (List.length vs) (digest vs))
+             r.Engine.drained)
+      ^ "]";
+      "log=[" ^ String.concat ";" r.Engine.host_log ^ "]";
+      "pipes=["
+      ^ String.concat ";"
+          (List.map
+             (fun (p : Engine.pipe_stats) ->
+               Printf.sprintf "%s/%d/%d/%d/%h/%d" p.Engine.ps_proc p.Engine.ii_static
+                 p.Engine.depth_static p.Engine.issues p.Engine.ii_measured
+                 p.Engine.latency_measured)
+             r.Engine.pipes)
+      ^ "]";
+      "ports=[" ^ pairs r.Engine.port_violations ^ "]";
+      "wild=[" ^ pairs r.Engine.wild_accesses ^ "]";
+      "fifos=["
+      ^ String.concat ";"
+          (List.map
+             (fun (n, pu, po, occ) -> Printf.sprintf "%s/%d/%d/%d" n pu po occ)
+             r.Engine.fifo_stats)
+      ^ "]";
+      Printf.sprintf "taps=%d" r.Engine.tap_events;
+      "timing=[" ^ pairs r.Engine.timing_violations ^ "]";
+    ]
+
+(* Pass 1 of the campaign's fork pass, built the way the campaign builds
+   it: the neutral design with every fault site padded, run under a
+   budget of 4x the unfaulted baseline plus slack, recording each site's
+   first-activation cycle ([-1] = never). *)
+let first_activations (w : Campaign.workload) strategy =
+  let front = Core.Driver.front ~strategy w.Campaign.program in
+  let inst = Faults.Fault.instrument_all front.Core.Driver.f_ir in
+  let compiled =
+    Core.Driver.finish { front with Core.Driver.f_ir = inst.Faults.Fault.ip_prog }
+  in
+  let base =
+    Core.Driver.simulate ~options:w.Campaign.options
+      (Core.Driver.compile ~strategy:Core.Driver.baseline w.Campaign.program)
+  in
+  let budget = (4 * base.Core.Driver.engine.Engine.cycles) + 2000 in
+  let options =
+    {
+      w.Campaign.options with
+      Core.Driver.max_cycles = budget;
+      watchdog = Some (Stdlib.max 200 (budget / 20));
+    }
+  in
+  let nsites = List.length inst.Faults.Fault.ip_sites in
+  let first = Array.make nsites (-1) in
+  let on_site cycle idx =
+    if idx >= 0 && idx < nsites && first.(idx) < 0 then first.(idx) <- cycle
+  in
+  let ses = Core.Driver.prepare ~options ~on_site compiled in
+  let r = Engine.run ses.Core.Driver.ses_engine in
+  let active = Array.fold_left (fun n c -> if c >= 0 then n + 1 else n) 0 first in
+  let sum = Array.fold_left (fun n c -> if c >= 0 then n + c else n) 0 first in
+  let text = String.concat "," (Array.to_list (Array.map string_of_int first)) in
+  Printf.sprintf "sites=%d active=%d sum=%d md5=%s pass1=%s/%d" nsites active sum
+    (String.sub (Digest.to_hex (Digest.string text)) 0 12)
+    (render_outcome r.Engine.outcome) r.Engine.cycles
+
+let golden_actual () =
+  List.concat_map
+    (fun (w : Campaign.workload) ->
+      List.map
+        (fun (sname, strategy) ->
+          let c = Core.Driver.compile ~strategy w.Campaign.program in
+          let r = Core.Driver.simulate ~options:w.Campaign.options c in
+          ( Printf.sprintf "%s/%s" w.Campaign.wname sname,
+            render_result r.Core.Driver.engine,
+            first_activations w strategy ))
+        Campaign.default_strategies)
+    (Campaign.bundled ())
+
+(* Recorded from the engine before it was split into a prepared program
+   and per-run state: every bundled campaign app under every default
+   strategy, plus the pass-1 first-activation record of its padded
+   design. *)
+let golden_expected =
+  [
+    ("fir/baseline",
+     "finished cycles=53 drained=[samples_out:32:f7c34fe0fdcd] log=[] pipes=[fir/1/18/32/0x1p+0/18] ports=[] wild=[] fifos=[samples_in/32/32/3;samples_out/32/32/1] taps=0 timing=[]",
+     "sites=5 active=5 sum=59 md5=4c633cba584b pass1=finished/676");
+    ("fir/unoptimized",
+     "finished cycles=148 drained=[samples_out:32:f7c34fe0fdcd] log=[] pipes=[fir/4/20/32/0x1p+2/20] ports=[] wild=[] fifos=[__err_fir/0/0/0;samples_in/32/32/16;samples_out/32/32/1] taps=0 timing=[]",
+     "sites=11 active=5 sum=68 md5=96cd71d8273a pass1=finished/772");
+    ("fir/parallelized",
+     "finished cycles=53 drained=[samples_out:32:f7c34fe0fdcd] log=[] pipes=[fir/1/18/32/0x1p+0/18] ports=[] wild=[] fifos=[__err_fir/0/0/0;samples_in/32/32/3;samples_out/32/32/1] taps=64 timing=[]",
+     "sites=5 active=5 sum=59 md5=4c633cba584b pass1=finished/676");
+    ("fir/optimized",
+     "finished cycles=53 drained=[samples_out:32:f7c34fe0fdcd] log=[] pipes=[fir/1/18/32/0x1p+0/18] ports=[] wild=[] fifos=[__err_shared0/0/0/0;samples_in/32/32/3;samples_out/32/32/1] taps=64 timing=[]",
+     "sites=5 active=5 sum=59 md5=4c633cba584b pass1=finished/676");
+    ("dct/baseline",
+     "finished cycles=943 drained=[dct_out:16:62ca8b9d38ec] log=[] pipes=[] ports=[] wild=[] fifos=[dct_in/16/16/13;dct_out/16/16/1] taps=0 timing=[]",
+     "sites=12 active=12 sum=590 md5=5256ea87a60f pass1=finished/1142");
+    ("dct/unoptimized",
+     "finished cycles=1359 drained=[dct_out:16:62ca8b9d38ec] log=[] pipes=[] ports=[] wild=[] fifos=[__err_dct/0/0/0;dct_in/16/16/13;dct_out/16/16/1] taps=0 timing=[]",
+     "sites=21 active=12 sum=671 md5=5d7fb5af5400 pass1=finished/1574");
+    ("dct/parallelized",
+     "finished cycles=943 drained=[dct_out:16:62ca8b9d38ec] log=[] pipes=[] ports=[] wild=[] fifos=[__err_dct/0/0/0;dct_in/16/16/13;dct_out/16/16/1] taps=160 timing=[]",
+     "sites=12 active=12 sum=590 md5=5256ea87a60f pass1=finished/1142");
+    ("dct/optimized",
+     "finished cycles=943 drained=[dct_out:16:62ca8b9d38ec] log=[] pipes=[] ports=[] wild=[] fifos=[__err_shared0/0/0/0;dct_in/16/16/13;dct_out/16/16/1] taps=160 timing=[]",
+     "sites=12 active=12 sum=590 md5=5256ea87a60f pass1=finished/1142");
+    ("des3/baseline",
+     "finished cycles=711 drained=[plain_out:2:ee43f6233423] log=[] pipes=[] ports=[] wild=[] fifos=[cipher_in/2/2/2;plain_out/2/2/1] taps=0 timing=[]",
+     "sites=11 active=11 sum=2074 md5=3ac9f85136b9 pass1=finished/844");
+    ("des3/unoptimized",
+     "finished cycles=791 drained=[plain_out:2:ee43f6233423] log=[] pipes=[] ports=[] wild=[] fifos=[__err_des3/0/0/0;cipher_in/2/2/2;plain_out/2/2/1] taps=0 timing=[]",
+     "sites=17 active=11 sum=2194 md5=17ab9ee51b75 pass1=finished/924");
+    ("des3/parallelized",
+     "finished cycles=759 drained=[plain_out:2:ee43f6233423] log=[] pipes=[] ports=[] wild=[] fifos=[__err_des3/0/0/0;cipher_in/2/2/2;plain_out/2/2/1] taps=32 timing=[]",
+     "sites=11 active=11 sum=2146 md5=d3f78f351bc7 pass1=finished/892");
+    ("des3/optimized",
+     "finished cycles=759 drained=[plain_out:2:ee43f6233423] log=[] pipes=[] ports=[] wild=[] fifos=[__err_shared0/0/0/0;cipher_in/2/2/2;plain_out/2/2/1] taps=32 timing=[]",
+     "sites=11 active=11 sum=2146 md5=d3f78f351bc7 pass1=finished/892");
+    ("edge/baseline",
+     "finished cycles=763 drained=[pixels_out:256:de4bd6c42ae7] log=[] pipes=[edge/2/28/32/0x1p+1/28] ports=[] wild=[] fifos=[pixels_in/256/256/16;pixels_out/256/256/1] taps=0 timing=[]",
+     "sites=11 active=11 sum=149 md5=7f63cd9ed556 pass1=out-of-cycles/5052");
+    ("edge/unoptimized",
+     "finished cycles=765 drained=[pixels_out:256:de4bd6c42ae7] log=[] pipes=[edge/2/28/32/0x1p+1/28] ports=[] wild=[] fifos=[__err_edge/0/0/0;pixels_in/256/256/16;pixels_out/256/256/1] taps=0 timing=[]",
+     "sites=17 active=11 sum=171 md5=24518a519a63 pass1=out-of-cycles/5052");
+    ("edge/parallelized",
+     "finished cycles=763 drained=[pixels_out:256:de4bd6c42ae7] log=[] pipes=[edge/2/28/32/0x1p+1/28] ports=[] wild=[] fifos=[__err_edge/0/0/0;pixels_in/256/256/16;pixels_out/256/256/1] taps=2 timing=[]",
+     "sites=11 active=11 sum=149 md5=7f63cd9ed556 pass1=out-of-cycles/5052");
+    ("edge/optimized",
+     "finished cycles=763 drained=[pixels_out:256:de4bd6c42ae7] log=[] pipes=[edge/2/28/32/0x1p+1/28] ports=[] wild=[] fifos=[__err_shared0/0/0/0;pixels_in/256/256/16;pixels_out/256/256/1] taps=2 timing=[]",
+     "sites=11 active=11 sum=149 md5=7f63cd9ed556 pass1=out-of-cycles/5052");
+    ("pulse/baseline",
+     "finished cycles=32939 drained=[stats_out:11:e9037a8f9c3b] log=[] pipes=[] ports=[] wild=[] fifos=[pulse_in/4096/4096/16;stats_out/11/11/1] taps=0 timing=[]",
+     "sites=28 active=22 sum=740368 md5=79c4125f9c44 pass1=finished/37071");
+    ("pulse/unoptimized",
+     "finished cycles=37037 drained=[stats_out:11:e9037a8f9c3b] log=[] pipes=[] ports=[] wild=[] fifos=[__err_pulse/0/0/0;pulse_in/4096/4096/16;stats_out/11/11/1] taps=0 timing=[]",
+     "sites=37 active=22 sum=822328 md5=258cb0f3bc79 pass1=finished/41169");
+    ("pulse/parallelized",
+     "finished cycles=32939 drained=[stats_out:11:e9037a8f9c3b] log=[] pipes=[] ports=[] wild=[] fifos=[__err_pulse/0/0/0;pulse_in/4096/4096/16;stats_out/11/11/1] taps=4098 timing=[]",
+     "sites=28 active=22 sum=740368 md5=79c4125f9c44 pass1=finished/37071");
+    ("pulse/optimized",
+     "finished cycles=32939 drained=[stats_out:11:e9037a8f9c3b] log=[] pipes=[] ports=[] wild=[] fifos=[__err_shared0/0/0/0;pulse_in/4096/4096/16;stats_out/11/11/1] taps=4098 timing=[]",
+     "sites=28 active=22 sum=740368 md5=79c4125f9c44 pass1=finished/37071");
+  ]
+
+let test_engine_golden () =
+  let actual = golden_actual () in
+  check tint "one golden row per (app, strategy)" (List.length golden_expected)
+    (List.length actual);
+  List.iter2
+    (fun (key, result, first) (key', result', first') ->
+      check Alcotest.string "case" key key';
+      check Alcotest.string (key ^ " result") result result';
+      check Alcotest.string (key ^ " first activations") first first')
+    golden_expected actual
+
+(* The campaign's fork path: snapshot one session mid-run, restore into
+   a fresh [Driver.prepare] session, arm, run to the end.  The cuts sweep
+   the whole run, so many fall while pipelined iterations are in
+   flight; each snapshot seeds two sessions, so it must not be aliased
+   by the first.  Arming re-applies the run's own parameters, which
+   patches the in-flight iteration contexts without changing any value. *)
+let check_fork_restore ~label c (options : Core.Driver.sim_options) ~stride =
+  let reference = Engine.run (Core.Driver.prepare ~options c).Core.Driver.ses_engine in
+  check tbool (label ^ ": reference run finishes") true
+    (reference.Engine.outcome = Engine.Finished);
+  check tbool (label ^ ": design has a pipelined loop") true (reference.Engine.pipes <> []);
+  let source = (Core.Driver.prepare ~options c).Core.Driver.ses_engine in
+  let cut = ref stride in
+  while !cut < reference.Engine.cycles do
+    check tbool (Printf.sprintf "%s: paused at cycle %d" label !cut) true
+      (Engine.run_until source ~cycle:!cut = None);
+    let snap = Engine.snapshot source in
+    for restore = 1 to 2 do
+      let e = (Core.Driver.prepare ~options c).Core.Driver.ses_engine in
+      Engine.restore e snap;
+      Engine.arm e options.Core.Driver.params;
+      check tbool
+        (Printf.sprintf "%s: cut %d, restore %d equals the uninterrupted run" label !cut restore)
+        true
+        (same_result reference (Engine.run e))
+    done;
+    cut := !cut + stride
+  done
+
+let test_fork_restore_snapshot_src () =
+  check_fork_restore ~label:"snapshot_src" (compile snapshot_src Core.Driver.optimized)
+    (snapshot_options 24) ~stride:1
+
+let test_fork_restore_edge () =
+  let w =
+    List.find (fun (w : Campaign.workload) -> w.Campaign.wname = "edge") (Campaign.bundled ())
+  in
+  check_fork_restore ~label:"edge"
+    (Core.Driver.compile ~strategy:Core.Driver.optimized w.Campaign.program)
+    w.Campaign.options ~stride:5
 
 (* --- Engine basics (cont.) ------------------------------------------------------ *)
 
@@ -849,7 +1079,11 @@ let () =
         [
           Alcotest.test_case "restore round-trip" `Quick test_snapshot_restore_roundtrip;
           Alcotest.test_case "deep copy" `Quick test_snapshot_is_deep;
+          Alcotest.test_case "fork restore (pipelined loop)" `Quick
+            test_fork_restore_snapshot_src;
+          Alcotest.test_case "fork restore (edge)" `Quick test_fork_restore_edge;
         ] );
+      ("golden", [ Alcotest.test_case "bundled apps x strategies" `Quick test_engine_golden ]);
       ( "engine",
         [
           Alcotest.test_case "basic dataflow" `Quick test_engine_basic_dataflow;
