@@ -838,6 +838,19 @@ let check_bench () =
    both ALUTs and registers.  The JSON artifact carries counts and
    solver statistics only — no wall-clock — and is asserted
    byte-identical serial vs parallel. *)
+
+(* Solver work per file: (conflicts, decisions, propagations).  It is
+   deterministic and pins the SAT instances BMC builds, so any change to
+   unrolling, encoding or clause simplification that alters them fails
+   the artifact; the time beside it is reported, not gated. *)
+let prove_expected_counters =
+  [
+    ("mine_demo.c", (0, 62, 334));
+    ("prove_demo.c", (19, 1008, 106555));
+    ("dct.c", (74, 5052, 418957));
+    ("fir.c", (0, 0, 0));
+  ]
+
 let prove_bench () =
   section "BMC: bounded proofs, k-induction, counterexample replay";
   let read_file path =
@@ -914,6 +927,20 @@ let prove_bench () =
   Printf.printf
     "  %d assertions: %d proved, %d violated, %d bounded, %d unknown\n"
     (tp + tv + tb + tu) tp tv tb tu;
+  let counter_mismatches =
+    List.filter_map
+      (fun (name, r) ->
+        let sum f = List.fold_left (fun a pr -> a + f pr) 0 r.Analysis.Verdict.p_results in
+        let got =
+          ( sum (fun pr -> pr.Analysis.Verdict.pr_conflicts),
+            sum (fun pr -> pr.Analysis.Verdict.pr_decisions),
+            sum (fun pr -> pr.Analysis.Verdict.pr_propagations) )
+        in
+        match List.assoc_opt name prove_expected_counters with
+        | Some want when want = got -> None
+        | want -> Some (name, want, got))
+      reports
+  in
   Printf.printf "  solver: %d conflicts, %d decisions in %.2fs (%.0f conflicts/sec)\n"
     conflicts decisions dt
     (float_of_int conflicts /. dt);
@@ -958,6 +985,17 @@ let prove_bench () =
       "  FAIL: pruning the induction-proved checkers saved no ALUTs/registers";
     exit 1
   end;
+  (match counter_mismatches with
+  | [] -> print_endline "  ok: every file's conflicts/decisions/propagations match the committed ones"
+  | ms ->
+      let show (c, d, p) = Printf.sprintf "%d/%d/%d" c d p in
+      List.iter
+        (fun (name, want, got) ->
+          Printf.eprintf "  FAIL: %s solver work %s (conflicts/decisions/propagations), expected %s\n"
+            name (show got)
+            (match want with Some w -> show w | None -> "no committed counts"))
+        ms;
+      exit 1);
   let oc = open_out "BENCH_prove.json" in
   Printf.fprintf oc
     "{\"depth\": %d, \"induction\": %d, \"proved\": %d, \"violated\": %d, \

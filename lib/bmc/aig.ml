@@ -21,18 +21,25 @@ let node_of (l : lit) = l lsr 1
 let compl_of (l : lit) = l land 1 = 1
 
 (* Fanins of an AND node; a primary input has [fan0 = -1].  Node 0 is
-   the constant-true node (also [fan0 = -1]). *)
+   the constant-true node (also [fan0 = -1]).
+
+   The structural-hashing table is flat open addressing with linear
+   probing: [table] holds AND node ids (0 marks an empty slot, node 0
+   never being an AND) and a probe compares the candidate's fanins in
+   [fan0]/[fan1] directly, so a lookup allocates nothing.  Its length is
+   a power of two kept at least twice [ands]. *)
 type t = {
   mutable fan0 : int array;
   mutable fan1 : int array;
   mutable n : int;
-  cache : (int, int) Hashtbl.t;  (* (fan0, fan1) packed -> node *)
+  mutable table : int array;
+  mutable ands : int;  (* AND nodes in [table] *)
 }
 
 let create () =
   let cap = 1024 in
   { fan0 = Array.make cap (-1); fan1 = Array.make cap (-1); n = 1;
-    cache = Hashtbl.create 1024 }
+    table = Array.make (2 * cap) 0; ands = 0 }
 
 let num_nodes t = t.n
 
@@ -62,8 +69,27 @@ let alloc t a b =
 (** Fresh primary input; returns its (positive) literal. *)
 let new_input t : lit = 2 * alloc t (-1) (-1)
 
-(* Literal pairs fit one OCaml int comfortably: pack for the hash key. *)
-let pack a b = (a lsl 31) lor b
+let hash a b =
+  let h = ((a * 0x9E3779B1) + b) * 0x85EBCA77 in
+  h lxor (h lsr 25)
+
+(* Slot holding the AND node with fanins (a, b), or the empty slot where
+   it belongs. *)
+let rec probe t mask a b i =
+  let v = t.table.(i) in
+  if v = 0 || (t.fan0.(v) = a && t.fan1.(v) = b) then i
+  else probe t mask a b ((i + 1) land mask)
+
+let rehash t =
+  let old = t.table in
+  t.table <- Array.make (2 * Array.length old) 0;
+  let mask = Array.length t.table - 1 in
+  Array.iter
+    (fun v ->
+      if v <> 0 then
+        let a = t.fan0.(v) and b = t.fan1.(v) in
+        t.table.(probe t mask a b (hash a b land mask)) <- v)
+    old
 
 let mk_and t (a : lit) (b : lit) : lit =
   if a = fls || b = fls then fls
@@ -73,13 +99,17 @@ let mk_and t (a : lit) (b : lit) : lit =
   else if a = neg b then fls
   else begin
     let a, b = if a <= b then (a, b) else (b, a) in
-    let key = pack a b in
-    match Hashtbl.find_opt t.cache key with
-    | Some v -> 2 * v
-    | None ->
-        let v = alloc t a b in
-        Hashtbl.add t.cache key v;
-        2 * v
+    let mask = Array.length t.table - 1 in
+    let i = probe t mask a b (hash a b land mask) in
+    let v = t.table.(i) in
+    if v <> 0 then 2 * v
+    else begin
+      let v = alloc t a b in
+      t.table.(i) <- v;
+      t.ands <- t.ands + 1;
+      if 2 * t.ands > Array.length t.table then rehash t;
+      2 * v
+    end
   end
 
 let mk_or t a b = neg (mk_and t (neg a) (neg b))

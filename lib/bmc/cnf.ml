@@ -14,15 +14,16 @@ type t = {
   aig : Aig.t;
   solver : Sat.t;
   mutable map : int array;  (* AIG node -> SAT var, -1 if not yet encoded *)
+  mutable stack : int array;  (* [lit]'s work stack of AIG nodes *)
 }
 
 let create aig solver =
   let map = Array.make (max 16 (Aig.num_nodes aig)) (-1) in
   (* pin the constant node *)
   let v = Sat.new_var solver in
-  Sat.add_clause solver [ Sat.pos v ];
+  Sat.add_clause_array solver [| Sat.pos v |];
   map.(0) <- v;
-  { aig; solver; map }
+  { aig; solver; map; stack = Array.make 64 0 }
 
 let ensure_map t n =
   let cap = Array.length t.map in
@@ -37,41 +38,54 @@ let sat_lit_of t (l : Aig.lit) : Sat.lit =
   let v = t.map.(Aig.node_of l) in
   if Aig.compl_of l then Sat.negl v else Sat.pos v
 
-(** SAT literal for AIG literal [l], encoding its cone as needed. *)
+(** SAT literal for AIG literal [l], encoding its cone as needed.  A
+    depth-first walk: a node is encoded once both fanins are, and
+    unencoded fanins are pushed [fan0] first, so [fan1]'s cone is
+    encoded first.  That order fixes the SAT variable numbering, which
+    the solver's search (and so its pinned work counters) depends on. *)
 let lit t (l : Aig.lit) : Sat.lit =
   ensure_map t (Aig.num_nodes t.aig);
-  let stack = ref [ Aig.node_of l ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | n :: rest ->
-        if t.map.(n) <> -1 then stack := rest
-        else if Aig.is_input t.aig (2 * n) then begin
-          t.map.(n) <- Sat.new_var t.solver;
-          stack := rest
-        end
-        else begin
-          let f0 = t.aig.Aig.fan0.(n) and f1 = t.aig.Aig.fan1.(n) in
-          let n0 = Aig.node_of f0 and n1 = Aig.node_of f1 in
-          let missing = [] in
-          let missing = if t.map.(n0) = -1 then n0 :: missing else missing in
-          let missing = if t.map.(n1) = -1 then n1 :: missing else missing in
-          if missing <> [] then stack := missing @ !stack
-          else begin
-            let v = Sat.new_var t.solver in
-            t.map.(n) <- v;
-            let a = sat_lit_of t f0 and b = sat_lit_of t f1 in
-            Sat.add_clause t.solver [ Sat.negl v; a ];
-            Sat.add_clause t.solver [ Sat.negl v; b ];
-            Sat.add_clause t.solver [ Sat.pos v; Sat.neg a; Sat.neg b ];
-            stack := rest
-          end
-        end
+  let g = t.aig in
+  let sp = ref 0 in
+  let push n =
+    if !sp = Array.length t.stack then begin
+      let s = Array.make (2 * !sp) 0 in
+      Array.blit t.stack 0 s 0 !sp;
+      t.stack <- s
+    end;
+    t.stack.(!sp) <- n;
+    incr sp
+  in
+  push (Aig.node_of l);
+  while !sp > 0 do
+    let n = t.stack.(!sp - 1) in
+    if t.map.(n) <> -1 then decr sp
+    else if Aig.is_input g (2 * n) then begin
+      t.map.(n) <- Sat.new_var t.solver;
+      decr sp
+    end
+    else begin
+      let f0 = g.Aig.fan0.(n) and f1 = g.Aig.fan1.(n) in
+      let n0 = Aig.node_of f0 and n1 = Aig.node_of f1 in
+      if t.map.(n0) = -1 || t.map.(n1) = -1 then begin
+        if t.map.(n0) = -1 then push n0;
+        if t.map.(n1) = -1 then push n1
+      end
+      else begin
+        let v = Sat.new_var t.solver in
+        t.map.(n) <- v;
+        let a = sat_lit_of t f0 and b = sat_lit_of t f1 in
+        Sat.add_clause_array t.solver [| Sat.negl v; a |];
+        Sat.add_clause_array t.solver [| Sat.negl v; b |];
+        Sat.add_clause_array t.solver [| Sat.pos v; Sat.neg a; Sat.neg b |];
+        decr sp
+      end
+    end
   done;
   sat_lit_of t l
 
 (** Assert [l] as a unit clause (encoding its cone). *)
-let assert_lit t (l : Aig.lit) = Sat.add_clause t.solver [ lit t l ]
+let assert_lit t (l : Aig.lit) = Sat.add_clause_array t.solver [| lit t l |]
 
 (** Model value of an AIG literal after [Sat].  AIG inputs outside the
     encoded cone default to false, matching {!Sat.value}. *)

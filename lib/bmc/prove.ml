@@ -79,14 +79,24 @@ let eval_witness (model : Model.t) (cnf : Cnf.t) ~(cycle : int) : witness =
   { w_cycle = cycle; w_feeds = feeds; w_params = params }
 
 (* The induction step at a given k: free start state, k fire-free
-   crash-free cycles, then a fire.  UNSAT = inductive. *)
-let induction_step (cfg : Model.config) ~(id : int) ~(k : int) ~conflict_limit :
+   crash-free cycles, then a fire.  UNSAT = inductive.
+
+   [model], when given, is a free-start model of [cfg] shared across the
+   calls for k = 1, 2, ...: it is stepped only until it holds cycle k,
+   so each call adds one frame instead of rebuilding k + 1.  The
+   solver sees exactly the instance a fresh model would give it: the
+   AIG is append-only, so the frames a fresh model builds get the same
+   node ids, and {!Cnf} encodes only the cones asserted here, in the
+   same order, whatever else the graph holds. *)
+let induction_step ?model (cfg : Model.config) ~(id : int) ~(k : int) ~conflict_limit :
     [ `Inductive | `Cti | `Undecided ] * (int * int * int) =
-  let model = Model.create ~free_start:true cfg in
+  let model =
+    match model with Some m -> m | None -> Model.create ~free_start:true cfg
+  in
   let solver = Sat.create () in
   let cnf = Cnf.create model.Model.g solver in
   List.iter (Cnf.assert_lit cnf) model.Model.init_constraints;
-  for _ = 0 to k do
+  while model.Model.n_cycles <= k do
     ignore (Model.step model)
   done;
   for c = 0 to k - 1 do
@@ -151,11 +161,15 @@ let check_assertion ?(depth = 12) ?(induction = 0) ?(conflict_limit = 200_000)
               Unknown
                 (Printf.sprintf "solver conflict budget exhausted at depth %d" cyc)
           | None ->
-              (* bounded proof holds; try to make it unbounded *)
+              (* bounded proof holds; try to make it unbounded, on one
+                 free-start model extended by a frame per k *)
+              let free = lazy (Model.create ~free_start:true cfg) in
               let rec go k =
                 if k > induction || k > depth then Bounded depth
                 else begin
-                  let v, s = induction_step cfg ~id ~k ~conflict_limit in
+                  let v, s =
+                    induction_step ~model:(Lazy.force free) cfg ~id ~k ~conflict_limit
+                  in
                   stats := add !stats s;
                   match v with
                   | `Inductive -> Proved_induction k

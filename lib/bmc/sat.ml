@@ -337,33 +337,56 @@ let attach_clause t (c : int array) : int =
   watch_add t c.(1) ci;
   ci
 
-(* Add a problem clause.  Must be called with the solver at decision
-   level 0 (guaranteed between [solve] calls).  Simplifies against the
-   level-0 assignment. *)
-let add_clause t (lits : lit list) =
+(* Add a problem clause held in [c], which the solver takes over: it is
+   sorted in place and, when nothing simplifies away, stored as the
+   clause itself.  Must be called with the solver at decision level 0
+   (guaranteed between [solve] calls).  The literals are sorted
+   ascending and deduplicated; a clause with a complementary pair (which
+   sorting makes adjacent) or a literal true at level 0 is dropped;
+   literals false at level 0 are removed.  What is left is a conflict,
+   a unit to propagate, or a clause whose first two literals are
+   watched.  Insertion sort suits the two- and three-literal gate
+   clauses of the Tseitin encoding. *)
+let add_clause_array t (c : lit array) =
   if t.ok then begin
     assert (decision_level t = 0);
-    (* dedupe, drop false literals, detect tautology / satisfied *)
-    let sorted = List.sort_uniq compare lits in
-    let taut =
-      List.exists (fun l -> List.mem (neg l) sorted) sorted
-      || List.exists (fun l -> lit_value t l = 1) sorted
-    in
-    if not taut then begin
-      let lits = List.filter (fun l -> lit_value t l <> 2) sorted in
-      match lits with
-      | [] -> t.ok <- false
-      | [ l ] ->
-          enqueue t l (-1);
+    let n = Array.length c in
+    for i = 1 to n - 1 do
+      let x = c.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && c.(!j) > x do
+        c.(!j + 1) <- c.(!j);
+        decr j
+      done;
+      c.(!j + 1) <- x
+    done;
+    (* [prev]: the previous distinct literal; -2 matches no literal *)
+    let kept = ref 0 and skip = ref false and prev = ref (-2) in
+    for i = 0 to n - 1 do
+      let l = c.(i) in
+      if l <> !prev then begin
+        (if l = neg !prev then skip := true
+         else
+           match lit_value t l with
+           | 1 -> skip := true
+           | 2 -> ()
+           | _ ->
+               c.(!kept) <- l;
+               incr kept);
+        prev := l
+      end
+    done;
+    if not !skip then
+      match !kept with
+      | 0 -> t.ok <- false
+      | 1 ->
+          enqueue t c.(0) (-1);
           if propagate t <> -1 then t.ok <- false
-      | l0 :: l1 :: _ ->
-          let c = Array.of_list lits in
-          (* ensure the watched positions hold the first two literals *)
-          ignore l0;
-          ignore l1;
-          ignore (attach_clause t c)
-    end
+      | k -> ignore (attach_clause t (if k = n then c else Array.sub c 0 k))
   end
+
+(* Add a problem clause; see [add_clause_array]. *)
+let add_clause t (lits : lit list) = add_clause_array t (Array.of_list lits)
 
 (* --- conflict analysis ----------------------------------------------------- *)
 

@@ -174,14 +174,21 @@ let rec iter_stmts f body =
     body
 
 (** [map_stmts f body] rebuilds [body] bottom-up: children are rewritten
-    first, then [f] is applied to each statement.  [f] returns a list to
-    allow one-to-many rewrites (e.g. assertion instrumentation). *)
+    first, then [f] is applied to each statement.  [f] sees statements
+    in source order (a then branch before its else branch), which
+    stateful rewrites such as assertion numbering rely on.  [f] returns
+    a list to allow one-to-many rewrites (e.g. assertion
+    instrumentation). *)
 let rec map_stmts (f : stmt -> stmt list) body =
   List.concat_map
     (fun st ->
       let st =
         match st.s with
-        | If (c, t, e) -> { st with s = If (c, map_stmts f t, map_stmts f e) }
+        | If (c, t, e) ->
+            (* constructor arguments are evaluated right to left: bind the
+               then branch first so [f] sees statements in source order *)
+            let t = map_stmts f t in
+            { st with s = If (c, t, map_stmts f e) }
         | While (c, b) -> { st with s = While (c, map_stmts f b) }
         | For (h, b) -> { st with s = For (h, map_stmts f b) }
         | Block b -> { st with s = Block (map_stmts f b) }

@@ -149,6 +149,73 @@ let test_aig_hash_consing () =
   check tint "and(y,x) commutes onto the same node" a (Aig.mk_and g y x);
   check tint "no node allocated for the repeats" n (Aig.num_nodes g)
 
+(* The flat structural-hashing table against a reference built on
+   [Hashtbl]: random AND sequences over the literals built so far, with
+   repeated and commuted pairs mixed in, must return identical literals
+   (hence identical node ids) through several doublings of the table. *)
+let test_aig_table_vs_hashtbl () =
+  let steps = 20_000 in
+  List.iter
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let g = Aig.create () in
+      let cache = Hashtbl.create 16 and next = ref 1 in
+      let ref_input () =
+        let v = !next in
+        incr next;
+        2 * v
+      in
+      let ref_and a b =
+        if a = Aig.fls || b = Aig.fls then Aig.fls
+        else if a = Aig.tru then b
+        else if b = Aig.tru then a
+        else if a = b then a
+        else if a = Aig.neg b then Aig.fls
+        else
+          let key = (min a b, max a b) in
+          match Hashtbl.find_opt cache key with
+          | Some l -> l
+          | None ->
+              let l = ref_input () in
+              Hashtbl.add cache key l;
+              l
+      in
+      let lits = Array.make (steps + 16) 0 and n = ref 0 in
+      let pairs = Array.make steps (0, 0) in
+      for _ = 1 to 16 do
+        let l = Aig.new_input g in
+        check tint "input literal" (ref_input ()) l;
+        lits.(!n) <- l;
+        incr n
+      done;
+      let pick () =
+        if Random.State.int rs 50 = 0 then Random.State.int rs 2
+        else
+          let l = lits.(Random.State.int rs !n) in
+          if Random.State.bool rs then Aig.neg l else l
+      in
+      for i = 0 to steps - 1 do
+        let a, b =
+          if i > 0 && Random.State.int rs 4 = 0 then
+            let a, b = pairs.(Random.State.int rs i) in
+            if Random.State.bool rs then (b, a) else (a, b)
+          else (pick (), pick ())
+        in
+        pairs.(i) <- (a, b);
+        let before = Aig.num_nodes g in
+        let want = ref_and a b in
+        let got = Aig.mk_and g a b in
+        if got <> want then
+          Alcotest.failf "seed %d: and(%d, %d) = %d, reference %d" seed a b got want;
+        if Aig.num_nodes g > before then begin
+          lits.(!n) <- got;
+          incr n
+        end
+      done;
+      check tint "node counts agree" !next (Aig.num_nodes g);
+      check tbool "several table doublings" true (Aig.num_nodes g > 8 * 1024))
+    [ 1; 2; 3 ]
+
 let test_aig_evaluator () =
   let g = Aig.create () in
   let x = Aig.new_input g and y = Aig.new_input g in
@@ -586,6 +653,105 @@ let test_prove_deterministic_across_jobs () =
   check tstr "1-domain pool matches sequential" (render seq) (render (pooled 1));
   check tstr "4-domain pool matches sequential" (render seq) (render (pooled 4))
 
+(* --- incremental induction ------------------------------------------------
+
+   [induction_step ~model] on a free-start model extended frame by frame
+   must hand the solver the very instance a fresh model gives it for
+   each k: same verdict and same (conflicts, decisions, propagations).
+   One model serves every assertion of a design here, so frames built
+   for one assertion (and for a larger k) must not disturb another's
+   instance either. *)
+
+let induction_shared_matches_fresh ?(conflict_limit = 200_000) ~max_k name (f : Driver.front) =
+  let cfg = Verify.model_config f in
+  match Model.create ~free_start:true cfg with
+  | exception Model.Unsupported _ -> ()
+  | model ->
+      List.iter
+        (fun id ->
+          for k = 1 to max_k do
+            let step ?model () = Bmc.Prove.induction_step ?model cfg ~id ~k ~conflict_limit in
+            let fv, fs = step () and sv, ss = step ~model () in
+            let what = Printf.sprintf "%s #%d k=%d" name id k in
+            check tbool (what ^ ": verdict") true (fv = sv);
+            check tbool (what ^ ": solver counters") true (fs = ss)
+          done)
+        (Verify.target_ids f)
+
+let test_induction_incremental_examples () =
+  List.iter
+    (fun file ->
+      induction_shared_matches_fresh ~max_k:4 file
+        (Verify.front_of (elab (read_file (example ("examples/" ^ file))))))
+    [ "mine_demo.c"; "prove_demo.c"; "dct.c"; "fir.c" ]
+
+let test_induction_incremental_torture () =
+  for i = 0 to 49 do
+    let prog =
+      Front.Typecheck.parse_and_check
+        (Front.Pretty.program_to_string
+           (Gen.generate ~seed:(Gen.program_seed ~run_seed:13L ~index:i) ~fuel:8))
+    in
+    induction_shared_matches_fresh ~conflict_limit:1_000 ~max_k:3
+      (Printf.sprintf "torture %d" i) (Verify.front_of prog)
+  done
+
+(* --- pinned solver work ------------------------------------------------------
+
+   The SAT instances BMC builds are pinned by the solver's work counters:
+   any change to unrolling, encoding or clause simplification that
+   alters a variable, a clause or their order shows up as different
+   conflicts, decisions or propagations.  The verdict JSON of each file
+   below, counters included, is the expectation recorded for depth 8
+   and 4-induction. *)
+
+let prove_file_json file =
+  let f = Verify.front_of (elab (read_file (example ("examples/" ^ file)))) in
+  let absint = Analysis.Absint.analyze f.Driver.f_source in
+  let results =
+    List.map
+      (fun id -> fst (Verify.check_target ~depth:8 ~induction:4 f ~absint id))
+      (Verify.target_ids f)
+  in
+  let rep = { Verdict.p_depth = 8; p_induction = 4; p_results = results } in
+  (rep, Json.to_string (Verdict.json_of ~file rep))
+
+(* bmc_pinned.tsv: one "<file>\t<verdict JSON>" line per example *)
+let pinned_prove_json () =
+  let ic =
+    open_in_bin (List.find Sys.file_exists [ "bmc_pinned.tsv"; "test/bmc_pinned.tsv" ])
+  in
+  let rec lines acc =
+    match input_line ic with
+    | l -> (
+        match String.index_opt l '\t' with
+        | Some i -> lines ((String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1)) :: acc)
+        | None -> lines acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  lines []
+
+let test_prove_pinned_counters () =
+  let pinned = pinned_prove_json () in
+  check (Alcotest.list tstr) "pinned files"
+    [ "mine_demo.c"; "prove_demo.c"; "dct.c"; "fir.c" ] (List.map fst pinned);
+  let c, d, p =
+    List.fold_left
+      (fun (c, d, p) (file, want) ->
+        let rep, got = prove_file_json file in
+        check tstr (file ^ " verdict JSON") want got;
+        List.fold_left
+          (fun (c, d, p) (r : Verdict.presult) ->
+            (c + r.Verdict.pr_conflicts, d + r.Verdict.pr_decisions, p + r.Verdict.pr_propagations))
+          (c, d, p) rep.Verdict.p_results)
+      (0, 0, 0) pinned
+  in
+  check tint "total conflicts" 93 c;
+  check tint "total decisions" 6122 d;
+  check tint "total propagations" 525846 p
+
 let test_prove_fir_outside_fragment () =
   (* pipelined loops are outside the BMC fragment: Unknown + B005, and
      crucially not misreported as proved or violated *)
@@ -614,6 +780,7 @@ let () =
         [
           Alcotest.test_case "constant folding" `Quick test_aig_folding;
           Alcotest.test_case "hash consing" `Quick test_aig_hash_consing;
+          Alcotest.test_case "flat table vs Hashtbl" `Quick test_aig_table_vs_hashtbl;
           Alcotest.test_case "evaluator" `Quick test_aig_evaluator;
         ] );
       ( "blast",
@@ -649,6 +816,11 @@ let () =
             test_prove_without_induction_stays_bounded;
           Alcotest.test_case "byte-identical across jobs" `Quick
             test_prove_deterministic_across_jobs;
+          Alcotest.test_case "pinned solver counters" `Slow test_prove_pinned_counters;
+          Alcotest.test_case "incremental induction (examples)" `Slow
+            test_induction_incremental_examples;
+          Alcotest.test_case "incremental induction (torture)" `Slow
+            test_induction_incremental_torture;
           Alcotest.test_case "fir outside fragment" `Quick
             test_prove_fir_outside_fragment;
         ] );

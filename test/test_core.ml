@@ -587,6 +587,78 @@ let test_fig3_without_fault_both_pass () =
   check tbool "circuit passes" true
     ((Driver.simulate c).Driver.engine.Engine.outcome = Engine.Finished)
 
+(* --- Failure codes --------------------------------------------------------
+
+   Every failure word an instrumented design can emit must decode to the
+   Assertion.extract id of the assertion statement that emits it: the
+   notification function prints that id's message.  Unoptimized code
+   emits a constant word from the if-converted assertion; parallelized
+   code taps an id whose checker writes that id's routed word.  The
+   committed torture reproducers include an assertion in each branch of
+   an if/else, which once swapped the two branches' codes. *)
+
+let corpus_dir () =
+  List.find Sys.file_exists
+    [
+      Filename.concat ".." Torture.Corpus.default_dir;
+      Torture.Corpus.default_dir;
+      Filename.concat "../.." Torture.Corpus.default_dir;
+    ]
+
+let test_failure_codes_decode_to_emitter () =
+  let reproducers =
+    List.map
+      (fun path ->
+        let e = Torture.Corpus.load path in
+        (e.Torture.Corpus.name, Typecheck.parse_and_check ~file:path e.Torture.Corpus.source))
+      (Torture.Corpus.files (corpus_dir ()))
+  in
+  let programs =
+    List.map (fun (w : Campaign.workload) -> (w.Campaign.wname, w.Campaign.program)) (Campaign.bundled ())
+    @ reproducers
+  in
+  check tbool "the corpus has an if/else reproducer" true
+    (List.mem_assoc "if-else-failure-code" reproducers);
+  List.iter
+    (fun (name, prog) ->
+      let asserts = Core.Assertion.extract prog in
+      List.iter
+        (fun (sname, strategy) ->
+          if strategy.Driver.mode <> Driver.Baseline then begin
+            let f = Driver.front ~strategy prog in
+            let plan = f.Driver.f_plan in
+            let emitted = ref 0 in
+            let expect loc stream word =
+              incr emitted;
+              let what = Printf.sprintf "%s/%s: word %Ld on %s" name sname word stream in
+              match (List.assoc stream plan.Core.Share.decode) word with
+              | [ id ] ->
+                  let a = List.find (fun (a : Core.Assertion.info) -> a.Core.Assertion.id = id) asserts in
+                  check tbool (what ^ " decodes to its emitter") true (Loc.equal a.Core.Assertion.aloc loc)
+              | ids -> Alcotest.failf "%s decodes to %d ids" what (List.length ids)
+            in
+            List.iter
+              (fun (p : Ast.proc) ->
+                Ast.iter_stmts
+                  (fun st ->
+                    match st.Ast.s with
+                    | Ast.If
+                        ( { Ast.e = Ast.Unop (Ast.Lnot, _); _ },
+                          [ { Ast.s = Ast.Stream_write (stream, { Ast.e = Ast.Int word; _ }); _ } ],
+                          [] )
+                      when List.mem_assoc stream plan.Core.Share.decode ->
+                        expect st.Ast.sloc stream word
+                    | Ast.Tapstmt (id, _) ->
+                        let stream, word = Core.Share.route_of plan id in
+                        expect st.Ast.sloc stream word
+                    | _ -> ())
+                  p.Ast.body)
+              (Driver.hw_procs f.Driver.f_instrumented);
+            check tint (name ^ "/" ^ sname ^ ": one emitter per assertion") (List.length asserts) !emitted
+          end)
+        Driver.all_strategies)
+    programs
+
 let () =
   Alcotest.run "core"
     [
@@ -642,6 +714,8 @@ let () =
             test_driver_unoptimized_nabort_collects_all;
           Alcotest.test_case "shared-mode messages" `Quick test_driver_shared_mode_messages;
           Alcotest.test_case "mem_ports strategy" `Quick test_driver_mem_ports_strategy;
+          Alcotest.test_case "failure codes decode to their emitter" `Quick
+            test_failure_codes_decode_to_emitter;
         ] );
       ( "carte",
         [
