@@ -1046,37 +1046,18 @@ let torture_bench () =
   Printf.printf "  clean: all strategies agree (%d baseline cycles simulated)\n"
     clean.Torture.Fuzz.r_baseline_cycles;
   (* fault leg: drop p0's first write to chan1 — a deterministic
-     translation bug the differential oracle must catch.  A/B'd
-     between from-reset (inject the fault into a separate compile and
-     simulate every leg from cycle zero) and the fork-point path
-     (padded design, arm the pad at its first activation, trimmed
-     budget); the divergence classes must agree. *)
+     translation bug the differential oracle must catch. *)
   let faults =
     [ Faults.Fault.Drop_stream_write
         { fproc = "p0"; stream = "chan1"; select = Faults.Fault.Nth 0 } ]
   in
   let fcount = 12 in
   let t0 = Unix.gettimeofday () in
-  let faulty_reset =
-    Torture.Fuzz.run ~jobs ~seed:42L ~count:fcount ~faults ~from_reset:true ()
-  in
-  let frdt = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
   let faulty = Torture.Fuzz.run ~jobs ~seed:42L ~count:fcount ~faults () in
   let fdt = Unix.gettimeofday () -. t0 in
   print_string (Torture.Fuzz.render faulty);
   if faulty.Torture.Fuzz.r_findings = [] then begin
     prerr_endline "  FAIL: injected fault produced no divergence";
-    exit 1
-  end;
-  let classes_of (r : Torture.Fuzz.report) =
-    List.map
-      (fun (f : Torture.Fuzz.finding) -> (f.Torture.Fuzz.f_index, f.Torture.Fuzz.f_classes))
-      r.Torture.Fuzz.r_findings
-  in
-  if classes_of faulty <> classes_of faulty_reset then begin
-    prerr_endline
-      "  INVARIANT VIOLATION: fork-point fault classes differ from from-reset";
     exit 1
   end;
   let ratios =
@@ -1094,20 +1075,18 @@ let torture_bench () =
     /. float_of_int (List.length ratios)
   in
   Printf.printf
-    "  fault leg: %d/%d divergent in %.2fs (from-reset %.2fs, fork-point %.2fx \
-     faster, classes identical), mean shrink ratio %.1fx\n"
+    "  fault leg: %d/%d divergent in %.2fs, mean shrink ratio %.1fx\n"
     (List.length faulty.Torture.Fuzz.r_findings)
-    fcount fdt frdt (frdt /. fdt) mean_ratio;
+    fcount fdt mean_ratio;
   let oc = open_out "BENCH_torture.json" in
   Printf.fprintf oc
     "{\"count\": %d, \"jobs\": %d, \"serial_wall_seconds\": %.3f, \
      \"wall_seconds\": %.3f, \"programs_per_second\": %.1f, \
      \"baseline_cycles\": %d, \"fault_count\": %d, \"fault_wall_seconds\": %.3f, \
-     \"fault_from_reset_wall_seconds\": %.3f, \"fault_fork_speedup\": %.3f, \
      \"mean_shrink_ratio\": %.2f, \"shrinks\": [%s], \"clean_report\": %s, \
      \"fault_report\": %s}\n"
     count jobs serial_dt dt pps clean.Torture.Fuzz.r_baseline_cycles fcount fdt
-    frdt (frdt /. fdt) mean_ratio
+    mean_ratio
     (String.concat ", "
        (List.map
           (fun (o, m, r) ->

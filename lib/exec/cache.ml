@@ -236,9 +236,6 @@ let reset_memory () =
   Atomic.set disk_hit_count 0;
   Atomic.set disk_miss_count 0
 
-(** Backwards-compatible alias for {!reset_memory}. *)
-let reset () = reset_memory ()
-
 let is_entry name =
   Filename.check_suffix name ".bin" && not (String.length name > 0 && name.[0] = '.')
 

@@ -70,9 +70,6 @@ val stats : unit -> stats
     measured cold).  The disk store is deliberately untouched. *)
 val reset_memory : unit -> unit
 
-(** Backwards-compatible alias for {!reset_memory}. *)
-val reset : unit -> unit
-
 type disk_stats = { entries : int; bytes : int }
 
 (** Entry count and total size of the disk store ([None] when the disk

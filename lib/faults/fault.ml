@@ -398,8 +398,8 @@ let sites (prog : Ir.program_ir) : t list =
    padded design behaves exactly like the original — and arming a single
    site (patching its registers) reproduces the corresponding legacy
    rewrite's semantics.  A marker tap (id [marker_base] + site index)
-   placed ahead of each site reports first-activation cycles through
-   {!Sim.Engine}'s [on_site] hook. *)
+   at the head of each site's straight-line segment reports
+   first-activation cycles through {!Sim.Engine}'s [on_site] hook. *)
 
 type site = {
   s_index : int;  (** global site index; marker id = base + index *)
@@ -642,6 +642,24 @@ let instrument_all ?(marker_base = default_marker_base) (prog : Ir.program_ir) :
                         end
                     | _ -> [ g ])
                   cond_insts)
+              body
+          in
+          (* 5. markers to the segment head: a site activates when
+             control enters its straight-line segment.  The scheduler
+             may place a marker in a later state than the pad
+             arithmetic that follows it, so a marker left in place
+             could fire after its pad already read the unarmed
+             registers.  Only a site's own pad reads its arming
+             registers, so arming at segment entry is always
+             faithful. *)
+          let is_marker (g : Ir.ginst) =
+            match g.Ir.i with Ir.Tap { id; _ } -> id >= marker_base | _ -> false
+          in
+          let body =
+            map_segments
+              (fun insts ->
+                let markers, rest = List.partition is_marker insts in
+                markers @ rest)
               body
           in
           { p with Ir.body; regs = p.Ir.regs @ List.rev !new_regs }

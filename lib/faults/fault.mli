@@ -84,8 +84,9 @@ val is_app_store : Mir.Ir.proc_ir -> string -> bool
     arithmetic identity (the padded design behaves exactly like the
     original), and arming a single site — patching its registers via
     {!Sim.Engine.arm} — reproduces the corresponding legacy rewrite's
-    semantics.  A marker tap placed ahead of each site reports
-    first-activation cycles through the engine's [on_site] hook. *)
+    semantics.  A marker tap at the head of each site's straight-line
+    segment reports first-activation cycles through the engine's
+    [on_site] hook: a site activates when control enters its segment. *)
 
 type site = {
   s_index : int;  (** global site index; marker id = base + index *)

@@ -108,7 +108,6 @@ let rec lookup scopes name =
 
 type rt = {
   cfg : config;
-  prog : program;
   mutable steps : int;
   mutable failures : failure list;
   mutable log : string list;
@@ -307,7 +306,7 @@ let run ?(cfg = default_config) (prog : program) : result =
           List.iter (fun v -> Queue.add (Value.wrap_ty elem v) f.q) vs
       | None -> invalid_arg (Printf.sprintf "feed: unknown stream %s" sname))
     cfg.feeds;
-  let rt = { cfg; prog; steps = 0; failures = []; log = []; obs = cfg.observer } in
+  let rt = { cfg; steps = 0; failures = []; log = []; obs = cfg.observer } in
   let runnable : (unit -> unit) Queue.t = Queue.create () in
   let blocked : blocked list ref = ref [] in
   let abort : failure option ref = ref None in

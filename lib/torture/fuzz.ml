@@ -40,11 +40,10 @@ type checked =
       d_source : string;
     }
 
-let check_one ~run_seed ~fuel ~max_cycles ~watchdog ~faults ~from_reset ~bmc_depth
-    index =
+let check_one ~run_seed ~fuel ~max_cycles ~watchdog ~faults ~bmc_depth index =
   let seed = Gen.program_seed ~run_seed ~index in
   let prog = Gen.generate ~seed ~fuel in
-  let o = Oracle.check ~faults ~from_reset ~max_cycles ~watchdog ?bmc_depth prog in
+  let o = Oracle.check ~faults ~max_cycles ~watchdog ?bmc_depth prog in
   match o.Oracle.divergences with
   | [] -> Agree (Option.value ~default:0 o.Oracle.baseline_cycles)
   | ds ->
@@ -66,13 +65,12 @@ let corpus_name seed =
 
 let run ?jobs ?(seed = 42L) ?(count = default_count) ?(fuel = default_fuel)
     ?(max_cycles = Oracle.default_max_cycles)
-    ?(watchdog = Oracle.default_watchdog) ?(faults = []) ?(from_reset = false)
-    ?bmc_depth ?shrink_attempts ?corpus_dir () =
+    ?(watchdog = Oracle.default_watchdog) ?(faults = []) ?bmc_depth
+    ?shrink_attempts ?corpus_dir () =
   let indices = List.init count (fun i -> i) in
   let outcomes =
     Exec.Pool.map ?jobs
-      (check_one ~run_seed:seed ~fuel ~max_cycles ~watchdog ~faults ~from_reset
-         ~bmc_depth)
+      (check_one ~run_seed:seed ~fuel ~max_cycles ~watchdog ~faults ~bmc_depth)
       indices
   in
   let saved_signatures = ref [] in
@@ -105,7 +103,7 @@ let run ?jobs ?(seed = 42L) ?(count = default_count) ?(fuel = default_fuel)
                  else
                    let keep cand =
                      let o =
-                       Oracle.check ~faults ~from_reset ~max_cycles ~watchdog
+                       Oracle.check ~faults ~max_cycles ~watchdog
                          ?bmc_depth cand
                      in
                      class_set o.Oracle.divergences = classes

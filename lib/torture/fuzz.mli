@@ -38,9 +38,7 @@ val default_fuel : int  (** 8 *)
 
 (** Run the campaign.  [faults] are injected into every circuit compile
     — the torture tests use a known translation fault to produce a
-    deterministic divergence.  [from_reset] forwards to {!Oracle.check}:
-    evaluate fault legs from cycle zero instead of the fork-point path
-    (the bench harness A/Bs the two).  [bmc_depth] arms the oracle's
+    deterministic divergence.  [bmc_depth] arms the oracle's
     Absint-vs-BMC cross-check (see {!Oracle.check}); it participates in
     the shrinker's keep predicate, so a [proved-fired:bmc] reproducer
     stays a BMC disagreement all the way down.  [corpus_dir] writes each
@@ -56,7 +54,6 @@ val run :
   ?max_cycles:int ->
   ?watchdog:int ->
   ?faults:Faults.Fault.t list ->
-  ?from_reset:bool ->
   ?bmc_depth:int ->
   ?shrink_attempts:int ->
   ?corpus_dir:string ->

@@ -2,7 +2,6 @@
 
 module Driver = Core.Driver
 module Engine = Sim.Engine
-module Fault = Faults.Fault
 
 type dclass =
   | Output_mismatch
@@ -79,85 +78,6 @@ let proved_ids (analysis : Analysis.Absint.result) =
          if v.vclass = Analysis.Absint.Proved then [ i ] else [])
        analysis.verdicts)
 
-(* How one circuit leg carries its faults.  [Legacy] injects them into
-   the lowered IR and simulates from reset — the original path, kept
-   for fault-free legs, multi-fault lists (sequential [Fault.apply_all]
-   renumbers later sites) and faults with no enumerated twin.  [Padded]
-   is the campaign's fork-point path: the all-sites-padded design
-   compiled once, the fault realized by arming its pad at the site's
-   first activation instead of re-simulating the shared prefix under a
-   separate mutant compile. *)
-type leg =
-  | Legacy of Driver.compiled
-  | Padded of { p_compiled : Driver.compiled; p_site : Fault.site }
-
-let compile_leg ~from_reset ~faults ~strategy prog =
-  match faults with
-  | [] -> Legacy (Driver.compile ~strategy prog)
-  | _ when from_reset -> Legacy (Driver.compile ~strategy ~faults prog)
-  | [ fault ] -> (
-      let front = Driver.front ~strategy prog in
-      let inst = Fault.instrument_all front.Driver.f_ir in
-      match
-        List.find_opt
-          (fun (s : Fault.site) -> s.Fault.s_padded && s.Fault.s_fault = fault)
-          inst.Fault.ip_sites
-      with
-      | Some site ->
-          Padded
-            {
-              p_compiled =
-                Driver.finish { front with Driver.f_ir = inst.Fault.ip_prog };
-              p_site = site;
-            }
-      | None -> Legacy (Driver.finish ~faults front))
-  | _ -> Legacy (Driver.compile ~strategy ~faults prog)
-
-(* Simulate one leg; returns the result plus the cycle budget actually
-   applied (for the Out_of_cycles detail).  A padded leg runs the
-   unarmed design once, recording when the armed site first activates;
-   if it never does, arming could not change anything the run executed,
-   so the unarmed run *is* the faulted run.  Otherwise the shared
-   prefix is replayed to the activation cycle, the pad armed there, and
-   the run finished under a budget trimmed to the cycle-ratio bound —
-   past [ratio_bound]x the unarmed cycles + slack the classification is
-   Cycle_blowup either way, so simulating on to [max_cycles] buys
-   nothing but wall-clock. *)
-let simulate_leg ~options leg : Driver.sim_result * int =
-  match leg with
-  | Legacy c -> (Driver.simulate ~options c, options.Driver.max_cycles)
-  | Padded { p_compiled = c; p_site = site } -> (
-      let act = ref (-1) in
-      let on_site cycle idx =
-        if idx = site.Fault.s_index && !act < 0 then act := cycle
-      in
-      let ses = Driver.prepare ~options ~on_site c in
-      let base = Driver.session_result ses (Engine.run ses.Driver.ses_engine) in
-      if !act < 0 then (base, options.Driver.max_cycles)
-      else
-        let budget =
-          match base.Driver.engine.Engine.outcome with
-          | Engine.Finished ->
-              min options.Driver.max_cycles
-                ((ratio_bound * base.Driver.engine.Engine.cycles) + ratio_slack)
-          | _ -> options.Driver.max_cycles
-        in
-        let options = { options with Driver.max_cycles = budget } in
-        let arm ses =
-          Engine.arm ses.Driver.ses_engine [ (site.Fault.s_proc, site.Fault.s_arm) ]
-        in
-        let ses = Driver.prepare ~options c in
-        match Engine.run_until ses.Driver.ses_engine ~cycle:!act with
-        | None ->
-            arm ses;
-            (Driver.session_result ses (Engine.run ses.Driver.ses_engine), budget)
-        | Some _ ->
-            (* unreachable — the unarmed run got past this cycle — but
-               arming from reset is always a faithful fallback *)
-            let ses = Driver.prepare ~options c in
-            arm ses;
-            (Driver.session_result ses (Engine.run ses.Driver.ses_engine), budget))
-
 (* One strategy's circuit run compared against the golden software run.
    Returns the divergences it alone exhibits plus its finished cycle
    count (for the ratio check, applied by the caller).  [live] is the
@@ -165,8 +85,8 @@ let simulate_leg ~options leg : Driver.sim_result * int =
    the circuit outcome must not contradict it — a proved deadlock-free
    design that hangs (or a certain-deadlock design that finishes) is a
    {!Liveness_unsound} finding against the analyzer itself. *)
-let check_strategy ~options ~sw ~golden_drained ~proved ~live ~from_reset ~faults
-    ~prog (sname, strategy) =
+let check_strategy ~options ~sw ~golden_drained ~proved ~live ~faults ~prog
+    (sname, strategy) =
   let live_unsound mk =
     if faults <> [] then []
     else
@@ -191,23 +111,19 @@ let check_strategy ~options ~sw ~golden_drained ~proved ~live ~from_reset ~fault
             ^ ") but the circuit finished")
       | _ -> None)
   in
-  match compile_leg ~from_reset ~faults ~strategy prog with
+  match Driver.compile ~strategy ~faults prog with
   | exception e ->
       ( [ { dclass = Crash; strategy = sname;
             detail = exn_detail "compile" e } ],
         None )
-  | leg -> (
-      match simulate_leg ~options leg with
+  | c -> (
+      match Driver.simulate ~options c with
       | exception e ->
           ( [ { dclass = Crash; strategy = sname;
                 detail = exn_detail "simulate" e } ],
             None )
-      | r, budget ->
+      | r ->
           let eng = r.Driver.engine in
-          let fsmds =
-            match leg with
-            | Legacy c | Padded { p_compiled = c; _ } -> c.Driver.fsmds
-          in
           let fired_proved =
             List.filter (fun id -> List.mem id proved) r.Driver.failed_assertions
           in
@@ -267,7 +183,7 @@ let check_strategy ~options ~sw ~golden_drained ~proved ~live ~from_reset ~fault
                         detail =
                           "circuit deadlock: "
                           ^ String.concat "; "
-                              (Engine.describe_blocked fsmds blocked) } ],
+                              (Engine.describe_blocked c.Driver.fsmds blocked) } ],
                     None )
             | Engine.Livelock spinning ->
                 if sw_stuck sw then ([], None)
@@ -281,7 +197,7 @@ let check_strategy ~options ~sw ~golden_drained ~proved ~live ~from_reset ~fault
                   ( [ { dclass = Cycle_blowup; strategy = sname;
                         detail =
                           Printf.sprintf "still running at the %d-cycle budget"
-                            budget } ],
+                            options.Driver.max_cycles } ],
                     None )
             | Engine.Sim_error m ->
                 ( [ { dclass = Crash; strategy = sname;
@@ -327,9 +243,8 @@ let bmc_cross_check ~depth ~proved ~(absint : Analysis.Absint.result) prog =
               | _ -> []))
         proved
 
-let check ?(strategies = default_strategies) ?(faults = []) ?(from_reset = false)
-    ?(max_cycles = default_max_cycles) ?(watchdog = default_watchdog) ?bmc_depth
-    prog =
+let check ?(faults = []) ?(max_cycles = default_max_cycles)
+    ?(watchdog = default_watchdog) ?bmc_depth prog =
   (* Re-inject through the printer and parser: real locations, and the
      corpus reproducer is byte-for-byte what was checked. *)
   let source = Front.Pretty.program_to_string prog in
@@ -467,8 +382,8 @@ let check ?(strategies = default_strategies) ?(faults = []) ?(from_reset = false
                 (fun s ->
                   ( s,
                     check_strategy ~options ~sw ~golden_drained ~proved ~live
-                      ~from_reset ~faults ~prog s ))
-                strategies
+                      ~faults ~prog s ))
+                default_strategies
             in
             let baseline_cycles =
               List.fold_left

@@ -54,7 +54,7 @@ type outcome = {
 
 val agrees : outcome -> bool
 
-(** Strategy table checked by default: every canonical strategy except
+(** Strategy table every check runs: every canonical strategy except
     the carte transport flavour (same policy as the campaign engine). *)
 val default_strategies : (string * Core.Driver.strategy) list
 
@@ -76,21 +76,12 @@ val default_watchdog : int  (** 500 *)
     both sides over-approximate the same semantics.  (Skipped under
     fault injection: BMC models the unfaulted design.)
 
-    A single fault with an enumerated padded twin is evaluated through
-    the campaign's fork-point path: compile the all-sites-padded design
-    once, run it unarmed to find the site's first activation, then
-    replay the shared prefix with the pad armed under a cycle budget
-    trimmed to the ratio bound.  [from_reset] (default [false]) is the
-    escape hatch: inject every fault into a separate compile and
-    simulate from cycle zero, the pre-split-stream behaviour.  The
-    divergence classes agree between the two paths (details such as
-    cycle counts may differ — padding perturbs the schedule).
+    Every circuit leg compiles its own (possibly faulted) design and
+    simulates it from reset.
 
     Never raises: toolchain failures classify as {!Crash}. *)
 val check :
-  ?strategies:(string * Core.Driver.strategy) list ->
   ?faults:Faults.Fault.t list ->
-  ?from_reset:bool ->
   ?max_cycles:int ->
   ?watchdog:int ->
   ?bmc_depth:int ->

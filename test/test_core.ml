@@ -3,7 +3,6 @@
    end-to-end driver — and the Table 3/4 latency/rate regressions. *)
 
 open Front
-module Ir = Mir.Ir
 module Engine = Sim.Engine
 module Driver = Core.Driver
 

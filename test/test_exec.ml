@@ -96,7 +96,7 @@ process hw worker(int32 n) {
 
 let test_cache_returns_shared_front () =
   let prog = elab cache_source in
-  Cache.reset ();
+  Cache.reset_memory ();
   let a = Cache.front ~strategy:Driver.optimized prog in
   let b = Cache.front ~strategy:Driver.optimized prog in
   check tbool "same (program, strategy) shares one front" true (a == b);
@@ -106,7 +106,7 @@ let test_cache_returns_shared_front () =
 
 let test_cache_distinct_fronts_per_strategy () =
   let prog = elab cache_source in
-  Cache.reset ();
+  Cache.reset_memory ();
   let fronts =
     List.map (fun (_, st) -> Cache.front ~strategy:st prog) Driver.all_strategies
   in
@@ -134,7 +134,7 @@ let test_cache_distinct_fronts_per_strategy () =
 
 let test_cache_compile_equals_driver_compile () =
   let prog = elab cache_source in
-  Cache.reset ();
+  Cache.reset_memory ();
   let direct = Driver.compile ~strategy:Driver.parallelized prog in
   let cached = Cache.compile ~strategy:Driver.parallelized prog in
   check tstr "identical VHDL through the cache" direct.Driver.vhdl cached.Driver.vhdl;

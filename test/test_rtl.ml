@@ -2,7 +2,6 @@
    model, VHDL emission. *)
 
 open Front
-module Ir = Mir.Ir
 module Netlist = Rtl.Netlist
 module Area = Rtl.Area
 module Timing = Rtl.Timing
